@@ -1,0 +1,10 @@
+"""Make the benchmark and the program under test importable:
+``python3 -m pytest perfbench/tests`` from the root of a checkout."""
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+for path in (ROOT, ROOT / "src"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
