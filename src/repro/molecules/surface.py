@@ -5,9 +5,16 @@ evaluated at Gaussian quadrature points of a triangulated molecular
 surface, each carrying a weight ``w_k`` and an outward unit normal
 ``n_k``.  We build the surface as the boundary of the union of atom
 spheres (the van der Waals / solvent-excluded surface for probe radius
-0): every atom sphere is triangulated by an icosphere, Dunavant
-quadrature points are placed on each spherical triangle, and points
-buried inside any other atom are culled together with their weights.
+0): every atom sphere is triangulated by an icosphere and Dunavant
+quadrature points are placed on each spherical triangle.
+
+Points buried inside any other atom are then culled together with their
+weights.  Only overlapping spheres can bury each other's points, so the
+cull first finds every overlapping atom pair with a vectorised cell join
+(:func:`overlapping_pairs`), then tests each pair's points in fixed-size
+chunks and scatters the verdicts into one burial mask.  A point is
+culled if any pair buries it, so neither the pair order nor the chunking
+can change which points survive.
 
 For a closed sphere the weights sum to ``4πr²`` by construction, which
 gives the library its sharpest correctness test: a single isolated atom
@@ -17,9 +24,11 @@ of radius R must come back from the r⁶ solver with Born radius exactly R
 
 from __future__ import annotations
 
+from typing import Iterator, Tuple
+
 import numpy as np
 
-from repro.geomutil import UniformCellGrid, icosphere
+from repro.geomutil import icosphere, ranges_to_indices
 from repro.obs import traced
 from repro.molecules.molecule import Molecule, SurfaceSamples
 from repro.molecules.quadrature import dunavant_rule
@@ -45,6 +54,77 @@ def _unit_sphere_samples(subdivisions: int, degree: int):
     pts = pts / norms                        # project to sphere surface
     weights = weights * (4.0 * np.pi / weights.sum())
     return pts, weights
+
+
+#: Samples tested per chunk of the burial cull (about 6.5k atom pairs at
+#: 20 samples per atom): bounds the cull's temporaries to a few MB.
+_CULL_CHUNK_SAMPLES = 1 << 17
+
+#: Atoms whose partners one step of :func:`overlapping_pairs` finds: at
+#: protein density about 40k candidate pairs, a few MB of temporaries.
+_JOIN_CHUNK_ATOMS = 512
+
+#: The 27 cell offsets of a 3×3×3 neighbourhood, one per row.
+_NEIGHBOUR_OFFSETS = np.stack(np.meshgrid(
+    [-1, 0, 1], [-1, 0, 1], [-1, 0, 1], indexing="ij"), axis=-1).reshape(-1, 3)
+
+
+def overlapping_pairs(centers: np.ndarray, radii: np.ndarray
+                      ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """Yield ordered pairs ``(a, b)``, ``a ≠ b``, of overlapping spheres.
+
+    A pair is kept when ``|c_a − c_b| < r_a + r_b`` (strict, so spheres
+    that only touch are not a pair); both orders of every pair are
+    produced.  Pairs come as ``int64`` index-array chunks, one chunk per
+    ``_JOIN_CHUNK_ATOMS`` first atoms ``a``, so memory stays bounded.
+
+    Centres are binned into cubic cells of edge ``2·max(r)``, so every
+    overlapping partner lies in one of the 27 cells around an atom.
+    Atoms are sorted by cell key; the atoms of a partner cell are then
+    one contiguous range of that order, found with ``searchsorted`` and
+    expanded with :func:`ranges_to_indices`.  Each chunk is a handful of
+    array operations: there is no Python loop over cells.
+    """
+    centers = np.asarray(centers, dtype=np.float64)
+    radii = np.asarray(radii, dtype=np.float64)
+    m = len(centers)
+    if m < 2:
+        return
+    # The relative pad keeps binning round-off from ever putting an
+    # overlapping partner two cells away.
+    cell = max(2.0 * float(radii.max()) * (1.0 + 1e-9), 1e-6)
+    ijk = np.floor((centers - centers.min(axis=0)) / cell).astype(np.int64)
+    # One empty layer of cells on each side: a neighbour offset then
+    # never wraps into another row of the flattened key.
+    dims = ijk.max(axis=0) + 3
+    if int(dims[0]) * int(dims[1]) * int(dims[2]) > np.iinfo(np.int64).max:
+        from repro.guard.errors import DegenerateGeometryError
+        raise DegenerateGeometryError(
+            "atoms span too many cells for an int64 cell key",
+            phase="sample_surface",
+            hint="coordinates are likely corrupt or in the wrong unit")
+    strides = np.array([dims[1] * dims[2], dims[2], 1], dtype=np.int64)
+    key = (ijk + 1) @ strides
+    order = np.argsort(key, kind="stable")
+    sorted_key = key[order]
+    shifts = _NEIGHBOUR_OFFSETS @ strides
+    axes = [np.ascontiguousarray(x) for x in centers.T]
+    for s in range(0, m, _JOIN_CHUNK_ATOMS):
+        block = key[s:s + _JOIN_CHUNK_ATOMS]
+        want = (block[:, None] + shifts[None, :]).ravel()
+        lo = np.searchsorted(sorted_key, want, side="left")
+        hi = np.searchsorted(sorted_key, want, side="right")
+        rows = np.arange(s, s + len(block), dtype=np.int64)
+        a = rows.repeat(len(shifts)).repeat(hi - lo)
+        b = order[ranges_to_indices(lo, hi)]
+        distinct = a != b
+        a, b = a[distinct], b[distinct]
+        # |c_a − c_b| summed in the order np.linalg.norm uses.
+        dx, dy, dz = (x[a] - x[b] for x in axes)
+        d = np.sqrt(dx * dx + dy * dy + dz * dz)
+        close = d < radii[a] + radii[b]
+        if close.any():
+            yield a[close], b[close]
 
 
 @traced("solve.sample_surface")
@@ -75,6 +155,15 @@ def sample_surface(molecule: Molecule,
     Molecule
         A copy of ``molecule`` carrying :class:`SurfaceSamples` whose
         normals point outward (radially from their parent atom).
+
+    Notes
+    -----
+    The pair search is numpy only, on purpose.  ``scipy.spatial.cKDTree``
+    finds the same pairs, but importing ``scipy.spatial`` also loads
+    ``scipy.special`` and adds a fixed 31–36 MB of resident memory to
+    every process that samples a surface.  The common sample-and-solve
+    path imports no scipy; only the guard's rare exact re-check of atoms
+    near a surface point still uses ``cKDTree``.
     """
     unit_pts, unit_w = _unit_sphere_samples(subdivisions, degree)
     k = len(unit_pts)
@@ -82,35 +171,30 @@ def sample_surface(molecule: Molecule,
     radii = molecule.radii + probe_radius
     m = molecule.natoms
 
-    # All candidate samples: (m, k, 3) → flattened.
+    # All candidate samples, one row of k per atom.
     pts = centers[:, None, :] + radii[:, None, None] * unit_pts[None, :, :]
-    normals = np.broadcast_to(unit_pts[None, :, :], (m, k, 3))
-    weights = radii[:, None] ** 2 * unit_w[None, :]
+
+    buried = np.zeros((m, k), dtype=bool)
+    step = max(1, _CULL_CHUNK_SAMPLES // k)
+    for a_all, b_all in overlapping_pairs(centers, radii):
+        for s in range(0, len(a_all), step):
+            a, b = a_all[s:s + step], b_all[s:s + step]
+            # Samples of atoms `a` that fall inside spheres `b`: one
+            # (npairs, k) block, |p − c_b|² summed in np.sum's order.
+            diff = pts[a] - centers[b][:, None, :]
+            diff *= diff
+            d2 = diff[..., 0] + diff[..., 1]
+            d2 += diff[..., 2]
+            pair, sample = np.nonzero(
+                d2 < (radii[b][:, None] - cull_tolerance) ** 2)
+            # A sample is culled if any pair buries it; the scatter is
+            # order-free, so chunking cannot change the mask.
+            buried[a[pair], sample] = True
+    keep = ~buried.ravel()
 
     pts = pts.reshape(-1, 3)
-    normals = normals.reshape(-1, 3).copy()
-    weights = weights.reshape(-1)
-
-    keep = np.ones(len(pts), dtype=bool)
-    sample_ids = np.arange(k, dtype=np.int64)
-    if m > 1:
-        rmax = float(radii.max())
-        grid = UniformCellGrid(centers, cell_size=max(2.0 * rmax, 1e-6))
-        for ii, jj in grid.neighbor_pairs(cutoff=2.0 * rmax):
-            # Only overlapping sphere pairs can bury each other's samples.
-            d = np.linalg.norm(centers[ii] - centers[jj], axis=1)
-            close = d < radii[ii] + radii[jj]
-            for a, b in ((ii[close], jj[close]), (jj[close], ii[close])):
-                if not len(a):
-                    continue
-                # Cull samples of atoms `a` that fall inside spheres `b`,
-                # one vectorised block: (npairs, k) sample indices.
-                idx = a[:, None] * k + sample_ids[None, :]
-                d2 = np.sum((pts[idx] - centers[b][:, None, :]) ** 2, axis=2)
-                buried = d2 < (radii[b][:, None] - cull_tolerance) ** 2
-                # An atom may appear in several pairs: accumulate with
-                # logical_and.at so every pair's verdict is applied.
-                np.logical_and.at(keep, idx.ravel(), ~buried.ravel())
+    normals = np.broadcast_to(unit_pts[None, :, :], (m, k, 3)).reshape(-1, 3)
+    weights = (radii[:, None] ** 2 * unit_w[None, :]).reshape(-1)
 
     if not keep.any():
         from repro.guard.errors import DegenerateGeometryError
