@@ -39,7 +39,7 @@ import numpy as np
 from repro.config import ApproxParams
 from repro.core.born_naive import integral_to_radius_r6
 from repro.core.gb import fast_rsqrt
-from repro.geomutil import ranges_to_indices
+from repro.core.nearfield import born_near_field, component_major
 from repro.obs import record_traversal_metrics, traced
 from repro.molecules.molecule import Molecule
 from repro.octree.build import NO_CHILD, Octree, build_octree
@@ -262,37 +262,27 @@ def approx_integrals(atoms_tree: Octree,
             a_front = np.empty(0, dtype=np.int64)
             q_front = np.empty(0, dtype=np.int64)
 
-    # Exact leaf–leaf blocks, grouped by atoms leaf so each group is a
-    # single vector kernel over (atoms × gathered q-points).
+    # Exact leaf–leaf blocks: counts in ordered (atoms leaf, Q-leaf)
+    # pairs, values from the shared near-field driver.
     if near_a:
         na = np.concatenate(near_a)
-        nq_rows = np.concatenate(near_q)
-        order = np.argsort(na, kind="stable")
-        na, nq_rows = na[order], nq_rows[order]
-        q_pts = q_tree.points
-        q_starts = q_tree.start[leaf_ids]
-        q_ends = q_tree.end[leaf_ids]
-        wn = weighted_normals_sorted
-        uniq, first = np.unique(na, return_index=True)
-        bounds = np.append(first, len(na))
-        for u, lo, hi in zip(uniq, bounds[:-1], bounds[1:]):
-            rows = nq_rows[lo:hi]
-            qsel = ranges_to_indices(q_starts[rows], q_ends[rows])
-            a_lo, a_hi = int(atoms_tree.start[u]), int(atoms_tree.end[u])
-            if atom_range is not None:
-                a_lo, a_hi = max(a_lo, rng_s), min(a_hi, rng_e)
-                if a_lo >= a_hi:
-                    continue
-            apts = atoms_tree.points[a_lo:a_hi]
-            diff = q_pts[qsel][None, :, :] - apts[:, None, :]
-            r2 = np.einsum("aqk,aqk->aq", diff, diff)
-            numer = np.einsum("aqk,qk->aq", diff, wn[qsel])
-            vals = np.sum(numer * _inv_r6(r2, params.approx_math), axis=1)
-            s_atom[a_lo:a_hi] += vals
-            counts.near_pair_blocks += len(rows)
-            counts.exact_interactions += diff.shape[0] * diff.shape[1]
-            np.add.at(exact_q, rows,
-                      len(apts) * (q_ends[rows] - q_starts[rows]))
+        rows = np.concatenate(near_q)
+        a_lo, a_hi = atoms_tree.start[na], atoms_tree.end[na]
+        if atom_range is not None:
+            a_lo = np.maximum(a_lo, rng_s)
+            a_hi = np.minimum(a_hi, rng_e)
+            keep = a_hi > a_lo
+            a_lo, a_hi, rows = a_lo[keep], a_hi[keep], rows[keep]
+        q_lo, q_hi = q_tree.start[leaf_ids[rows]], q_tree.end[leaf_ids[rows]]
+        block = (a_hi - a_lo) * (q_hi - q_lo)
+        counts.near_pair_blocks += len(rows)
+        counts.exact_interactions += int(block.sum())
+        np.add.at(exact_q, rows, block)
+        born_near_field(s_atom, a_lo, a_hi,
+                        component_major(atoms_tree.points),
+                        q_lo, q_hi, component_major(q_tree.points),
+                        component_major(weighted_normals_sorted),
+                        params.approx_math)
 
     return s_node, s_atom, counts, per_source
 

@@ -35,7 +35,12 @@ from repro.core.born_octree import (
 )
 from repro.core.energy_octree import EpolResult, build_charge_buckets
 from repro.core.gb import energy_prefactor, inv_fgb_still
-from repro.geomutil import ranges_to_indices
+from repro.core.nearfield import (
+    born_near_field,
+    component_major,
+    epol_near_field,
+    mirror_pairs,
+)
 from repro.obs import record_bucket_metrics, record_traversal_metrics
 from repro.constants import TAU_WATER
 from repro.molecules.molecule import Molecule
@@ -176,22 +181,16 @@ def born_radii_dualtree(molecule: Molecule,
     if exact_a:
         ea = np.concatenate(exact_a)
         eq = np.concatenate(exact_q)
-        order = np.argsort(ea, kind="stable")
-        ea, eq = ea[order], eq[order]
-        uniq, first = np.unique(ea, return_index=True)
-        bounds = np.append(first, len(ea))
-        for u, lo, hi in zip(uniq, bounds[:-1], bounds[1:]):
-            qsel = ranges_to_indices(q_tree.start[eq[lo:hi]],
-                                     q_tree.end[eq[lo:hi]])
-            apts = atoms_tree.points[atoms_tree.slice_of(int(u))]
-            diff = q_tree.points[qsel][None, :, :] - apts[:, None, :]
-            r2 = np.einsum("aqk,aqk->aq", diff, diff)
-            numer = np.einsum("aqk,qk->aq", diff, wn_sorted[qsel])
-            s_atom[atoms_tree.start[int(u)]:atoms_tree.end[int(u)]] += \
-                np.sum(numer * _inv_r6(r2, params.approx_math), axis=1)
-            counts.near_pair_blocks += hi - lo
-            counts.exact_interactions += diff.shape[0] * diff.shape[1]
-            exact_by_aleaf[int(u)] += diff.shape[0] * diff.shape[1]
+        a_lo, a_hi = atoms_tree.start[ea], atoms_tree.end[ea]
+        q_lo, q_hi = q_tree.start[eq], q_tree.end[eq]
+        block = (a_hi - a_lo) * (q_hi - q_lo)
+        counts.near_pair_blocks += len(ea)
+        counts.exact_interactions += int(block.sum())
+        np.add.at(exact_by_aleaf, ea, block)
+        born_near_field(s_atom, a_lo, a_hi,
+                        component_major(atoms_tree.points),
+                        q_lo, q_hi, component_major(q_tree.points),
+                        component_major(wn_sorted), params.approx_math)
 
     intrinsic_sorted = molecule.radii[atoms_tree.perm]
     radii_sorted = push_integrals_to_atoms(atoms_tree, s_node, s_atom,
@@ -269,24 +268,16 @@ def epol_dualtree(molecule: Molecule,
     if exact_u:
         eu = np.concatenate(exact_u)
         ev = np.concatenate(exact_v)
-        order = np.argsort(ev, kind="stable")
-        eu, ev = eu[order], ev[order]
-        pts = atoms_tree.points
-        uniq, first = np.unique(ev, return_index=True)
-        bounds = np.append(first, len(ev))
-        for v, lo, hi in zip(uniq, bounds[:-1], bounds[1:]):
-            usel = ranges_to_indices(atoms_tree.start[eu[lo:hi]],
-                                     atoms_tree.end[eu[lo:hi]])
-            vsl = atoms_tree.slice_of(int(v))
-            diff = pts[usel][:, None, :] - pts[vsl][None, :, :]
-            r2 = np.einsum("uvk,uvk->uv", diff, diff)
-            RiRj = R_sorted[usel][:, None] * R_sorted[vsl][None, :]
-            inv = inv_fgb_still(r2, RiRj, approx_math=params.approx_math)
-            total += float(np.einsum("u,uv,v->", q_sorted[usel], inv,
-                                     q_sorted[vsl]))
-            counts.near_pair_blocks += hi - lo
-            counts.exact_interactions += diff.shape[0] * diff.shape[1]
-            exact_by_vleaf[int(v)] += diff.shape[0] * diff.shape[1]
+        start, end = atoms_tree.start, atoms_tree.end
+        block = (end[eu] - start[eu]) * (end[ev] - start[ev])
+        counts.near_pair_blocks += len(eu)
+        counts.exact_interactions += int(block.sum())
+        np.add.at(exact_by_vleaf, ev, block)
+        lo, hi, weight = mirror_pairs(eu, ev)
+        side = (component_major(atoms_tree.points), q_sorted, R_sorted)
+        total += epol_near_field(start[lo], end[lo], side,
+                                 start[hi], end[hi], side, weight,
+                                 params.approx_math)
 
     per_source = _per_leaf_counts(atoms_tree, far_by_unode, exact_by_vleaf)
     record_traversal_metrics("epol", counts, per_source)

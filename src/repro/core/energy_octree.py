@@ -30,7 +30,11 @@ from repro.config import ApproxParams
 from repro.constants import TAU_WATER
 from repro.core.born_octree import PerSourceCounts, TraversalCounts
 from repro.core.gb import energy_prefactor, inv_fgb_still
-from repro.geomutil import ranges_to_indices
+from repro.core.nearfield import (
+    component_major,
+    epol_near_field,
+    mirror_pairs,
+)
 from repro.obs import (
     record_bucket_metrics,
     record_traversal_metrics,
@@ -78,8 +82,14 @@ class ChargeBuckets:
 def build_charge_buckets(tree: Octree,
                          charges_sorted: np.ndarray,
                          born_sorted: np.ndarray,
-                         eps: float) -> ChargeBuckets:
-    """Bucket every node's charge by Born radius on the (1+ε) grid."""
+                         eps: float,
+                         r_range: Optional[Tuple[float, float]] = None
+                         ) -> ChargeBuckets:
+    """Bucket every node's charge by Born radius on the (1+ε) grid.
+
+    ``r_range`` fixes the grid's ``(R_min, R_max)``; the data-distributed
+    solver passes the global extremes so every rank shares one grid.
+    """
     from repro.guard.errors import NumericalGuardError
     R = np.asarray(born_sorted, dtype=np.float64)
     # NaN compares False against <= 0, so non-finite entries need their
@@ -93,8 +103,7 @@ def build_charge_buckets(tree: Octree,
         raise NumericalGuardError(
             "Born radii must be positive", phase="epol",
             indices=np.flatnonzero(R <= 0))
-    r_min = float(R.min())
-    r_max = float(R.max())
+    r_min, r_max = r_range or (float(R.min()), float(R.max()))
     base = 1.0 + eps
     if r_max > r_min:
         m_eps = int(np.floor(np.log(r_max / r_min) / np.log(base))) + 1
@@ -145,7 +154,9 @@ def approx_epol_for_leaves(atoms_tree: Octree,
     ``v_leaf_subset`` holds positions into ``atoms_tree.leaves`` (the
     per-rank segment of the distributed algorithm); ``None`` means all
     leaves.  Multiply the result by
-    :func:`repro.core.gb.energy_prefactor` for kcal/mol.
+    :func:`repro.core.gb.energy_prefactor` for kcal/mol.  The value
+    depends on the subset at rounding level, because only exact leaf
+    pairs with both leaves in it are mirrored; counts do not.
     """
     counts = TraversalCounts()
     leaf_ids = atoms_tree.leaves
@@ -214,30 +225,24 @@ def approx_epol_for_leaves(atoms_tree: Octree,
                 u_front = ch[valid]
                 v_front = np.repeat(iv, valid.sum(axis=1))
 
-    # Exact leaf–leaf blocks, grouped by V so each group runs as one
-    # (gathered U atoms × V atoms) kernel.
+    # Exact leaf–leaf blocks.  Counts stay in ordered (U, V) pairs; the
+    # values come from mirror_pairs' plan, which evaluates a pair whose
+    # mirror is also in this call's list once, with weight 2.
     if exact_u:
         eu = np.concatenate(exact_u)
         ev = np.concatenate(exact_v)
-        order = np.argsort(ev, kind="stable")
-        eu, ev = eu[order], ev[order]
-        pts = atoms_tree.points
-        uniq, first = np.unique(ev, return_index=True)
-        bounds = np.append(first, len(ev))
-        for vrow, lo, hi in zip(uniq, bounds[:-1], bounds[1:]):
-            vleaf = int(leaf_ids[vrow])
-            usel = ranges_to_indices(atoms_tree.start[eu[lo:hi]],
-                                     atoms_tree.end[eu[lo:hi]])
-            vsl = atoms_tree.slice_of(vleaf)
-            diff = pts[usel][:, None, :] - pts[vsl][None, :, :]
-            r2 = np.einsum("uvk,uvk->uv", diff, diff)
-            RiRj = born_sorted[usel][:, None] * born_sorted[vsl][None, :]
-            inv = inv_fgb_still(r2, RiRj, approx_math=params.approx_math)
-            total += float(np.einsum("u,uv,v->", charges_sorted[usel], inv,
-                                     charges_sorted[vsl]))
-            counts.near_pair_blocks += hi - lo
-            counts.exact_interactions += diff.shape[0] * diff.shape[1]
-            pv_exact[vrow] += diff.shape[0] * diff.shape[1]
+        start, end = atoms_tree.start, atoms_tree.end
+        vleaf = leaf_ids[ev]
+        block = (end[eu] - start[eu]) * (end[vleaf] - start[vleaf])
+        counts.near_pair_blocks += len(eu)
+        counts.exact_interactions += int(block.sum())
+        np.add.at(pv_exact, ev, block)
+        lo, hi, weight = mirror_pairs(eu, vleaf)
+        side = (component_major(atoms_tree.points), charges_sorted,
+                born_sorted)
+        total += epol_near_field(start[lo], end[lo], side,
+                                 start[hi], end[hi], side, weight,
+                                 params.approx_math)
 
     return total, counts, per_source
 

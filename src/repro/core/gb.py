@@ -91,11 +91,11 @@ def pair_energy_matrix(pos_i: np.ndarray, q_i: np.ndarray, R_i: np.ndarray,
     """Exact Σ_{a∈i, b∈j} q_a q_b / f_GB(a, b) for two atom blocks.
 
     Returns the raw (unprefixed) double sum; callers apply
-    :func:`energy_prefactor`.  This is the leaf–leaf kernel of the
-    octree energy solver and the inner block of the naive solver.
+    :func:`energy_prefactor`.  A convenience wrapper over
+    :func:`repro.core.nearfield.epol_block` for ``(n, 3)`` positions.
     """
-    diff = pos_i[:, None, :] - pos_j[None, :, :]
-    r2 = np.einsum("ijk,ijk->ij", diff, diff)
-    RiRj = R_i[:, None] * R_j[None, :]
-    inv = inv_fgb_still(r2, RiRj, approx_math=approx_math)
-    return float(np.einsum("i,ij,j->", q_i, inv, q_j))
+    from repro.core.nearfield import component_major, epol_block
+    return epol_block(component_major(pos_i), np.asarray(q_i, float),
+                      np.asarray(R_i, float), component_major(pos_j),
+                      np.asarray(q_j, float), np.asarray(R_j, float),
+                      approx_math)

@@ -195,6 +195,10 @@ def diagnose_molecule(molecule: Molecule,
     return out
 
 
+#: Element budget of one candidate-by-atom distance block in
+#: :func:`_atoms_touching_surface`'s exact re-check.
+_RECHECK_CHUNK = 1 << 20
+
 #: Spatial-hash mixing primes (Teschner et al. style).
 _HASH_P = (np.int64(73856093), np.int64(19349663), np.int64(83492791))
 
@@ -222,8 +226,9 @@ def _atoms_touching_surface(pos: np.ndarray, qpts: np.ndarray,
     ``tol`` (a within-``tol`` pair shares a cell, up to boundary
     straddle, which only the rare near-boundary points re-check across
     their up-to-8 candidate cells).  Hash collisions and straddle only
-    ever *add* candidates; a bounded KD-tree query on the (normally
-    empty) candidate set keeps the result exact.
+    ever *add* candidates; an exact nearest-atom test of the (normally
+    empty) candidate set, in chunks against all atoms, keeps the result
+    exact without loading scipy on the cold path.
     """
     cell = 1024.0 * tol
     akeys = np.unique(_cell_keys(np.floor(pos / cell).astype(np.int64)))
@@ -246,9 +251,15 @@ def _atoms_touching_surface(pos: np.ndarray, qpts: np.ndarray,
         cand[straddle] |= scand
     if not cand.any():
         return np.empty(0, dtype=np.int64)
-    from scipy.spatial import cKDTree
-    d, j = cKDTree(pos).query(qpts[cand], k=1, distance_upper_bound=tol)
-    return np.unique(j[np.isfinite(d)])
+    hits = []
+    rows = max(1, _RECHECK_CHUNK // max(len(pos), 1))
+    for chunk in np.array_split(qpts[cand], -(-int(cand.sum()) // rows)):
+        d2 = np.zeros((len(chunk), len(pos)))
+        for k in range(3):
+            d2 += np.subtract.outer(chunk[:, k], pos[:, k]) ** 2
+        j = np.argmin(d2, axis=1)
+        hits.append(j[d2[np.arange(len(j)), j] < tol * tol])
+    return np.unique(np.concatenate(hits))
 
 
 #: Diagnostic code → exception class for :func:`preflight`.

@@ -49,8 +49,16 @@ from repro.core.born_octree import (
     push_integrals_to_atoms,
     qleaf_aggregates,
 )
-from repro.core.energy_octree import approx_epol_for_leaves
+from repro.core.energy_octree import (
+    approx_epol_for_leaves,
+    build_charge_buckets,
+)
 from repro.core.gb import energy_prefactor, inv_fgb_still
+from repro.core.nearfield import (
+    born_near_field,
+    component_major,
+    epol_near_field,
+)
 from repro.molecules.molecule import Molecule
 from repro.octree import morton
 from repro.octree.build import NO_CHILD, Octree, build_octree
@@ -176,30 +184,20 @@ def _classify_remote_qleaves(atoms_tree: Octree,
     return s_node, visits, need_a, need_q
 
 
-def _exact_remote_born(atoms_tree: Octree, s_atom: np.ndarray,
-                       need_a: np.ndarray, need_q: np.ndarray,
-                       ghost_pts: Dict[int, np.ndarray],
-                       ghost_wn: Dict[int, np.ndarray],
-                       params: ApproxParams) -> int:
-    """Exact near contributions from fetched remote Q-leaf points."""
-    interactions = 0
-    order = np.argsort(need_a, kind="stable")
-    need_a, need_q = need_a[order], need_q[order]
-    uniq, first = np.unique(need_a, return_index=True)
-    bounds = np.append(first, len(need_a))
-    for u, lo, hi in zip(uniq, bounds[:-1], bounds[1:]):
-        rows = need_q[lo:hi]
-        pts = np.vstack([ghost_pts[int(rw)] for rw in rows])
-        wn = np.vstack([ghost_wn[int(rw)] for rw in rows])
-        sl = atoms_tree.slice_of(int(u))
-        apts = atoms_tree.points[sl]
-        diff = pts[None, :, :] - apts[:, None, :]
-        r2 = np.einsum("aqk,aqk->aq", diff, diff)
-        numer = np.einsum("aqk,qk->aq", diff, wn)
-        s_atom[sl] += np.sum(numer * _inv_r6(r2, params.approx_math),
-                             axis=1)
-        interactions += diff.shape[0] * diff.shape[1]
-    return interactions
+def _ghost_ranges(ghosts: Dict[int, tuple], wanted: np.ndarray
+                  ) -> Tuple[tuple, np.ndarray, np.ndarray]:
+    """Stack fetched ghost arrays into contiguous per-field arrays.
+
+    ``ghosts`` maps a remote leaf key to a tuple of per-point arrays.
+    Returns the stacked fields and each ``wanted`` key's row range.
+    """
+    keys = sorted(ghosts)
+    sizes = np.array([len(ghosts[k][0]) for k in keys], dtype=np.int64)
+    ends = np.cumsum(sizes)
+    fields = tuple(np.concatenate([ghosts[k][f] for k in keys])
+                   for f in range(len(ghosts[keys[0]])))
+    at = np.searchsorted(np.array(keys, dtype=np.int64), wanted)
+    return fields, (ends - sizes)[at], ends[at]
 
 
 def _energy_vs_remote_tree(atoms_tree: Octree,
@@ -345,6 +343,7 @@ def run_data_distributed(molecule: Molecule,
         q_tree = build_octree(blk["qpts"], params.leaf_size,
                               params.max_depth)
         wn_sorted = blk["qwn"][q_tree.perm]
+        local_t = component_major(atoms_tree.points)
         block_bytes = (local.nbytes() + blk["qpts"].nbytes
                        + blk["qwn"].nbytes + atoms_tree.nbytes()
                        + q_tree.nbytes())
@@ -403,15 +402,17 @@ def run_data_distributed(molecule: Molecule,
             if s == comm.rank:
                 continue
             payload = comm.recv(source=s, tag=1)
-            gpts = {row: p for row, (p, w) in payload.items()}
-            gwn = {row: w for row, (p, w) in payload.items()}
-            ghost_qpoints += sum(len(p) for p in gpts.values())
-            ghost_bytes += (sum(p.nbytes for p in gpts.values())
-                            + sum(w.nbytes for w in gwn.values()))
+            ghost_qpoints += sum(len(p) for p, _ in payload.values())
+            ghost_bytes += sum(p.nbytes + w.nbytes
+                               for p, w in payload.values())
             na, nq = pending[s]
             if len(na):
-                inter = _exact_remote_born(atoms_tree, s_atom, na, nq,
-                                           gpts, gwn, params)
+                (gp, gw), q_lo, q_hi = _ghost_ranges(payload, nq)
+                a_lo, a_hi = atoms_tree.start[na], atoms_tree.end[na]
+                born_near_field(s_atom, a_lo, a_hi, local_t, q_lo, q_hi,
+                                component_major(gp), component_major(gw),
+                                params.approx_math)
+                inter = int(((a_hi - a_lo) * (q_hi - q_lo)).sum())
                 comm.compute(cost.born_compute_seconds(0, 0, inter,
                                                        params.approx_math))
 
@@ -426,32 +427,12 @@ def run_data_distributed(molecule: Molecule,
         # Global bucket geometry needs global R_min/R_max.
         r_min = comm.allreduce(float(R_local.min()), op="min")
         r_max = comm.allreduce(float(R_local.max()), op="max")
-        base = 1.0 + params.eps_epol
-        if r_max > r_min:
-            m_eps = int(np.floor(np.log(r_max / r_min)
-                                 / np.log(base))) + 1
-        else:
-            m_eps = 1
-        powers = r_min * base ** np.arange(m_eps)
-        products = np.outer(powers, powers)
-
         q_sorted = local.charges[atoms_tree.perm]
         R_sorted = R_local[atoms_tree.perm]
-        bucket_idx = np.zeros(local.natoms, dtype=np.int64)
-        if m_eps > 1:
-            bucket_idx = np.clip(
-                (np.log(R_sorted / r_min) / np.log(base)).astype(np.int64),
-                0, m_eps - 1)
-        cum = np.zeros((local.natoms + 1, m_eps), dtype=np.float64)
-        np.add.at(cum, (np.arange(local.natoms) + 1, bucket_idx), q_sorted)
-        cum = np.cumsum(cum, axis=0)
-        table = cum[atoms_tree.end] - cum[atoms_tree.start]
-
-        # Local rows vs local tree: reuse the work-division kernel with
-        # a locally-built ChargeBuckets on the *global* grid.
-        from repro.core.energy_octree import ChargeBuckets
-        buckets = ChargeBuckets(table=table, r_min=r_min, r_max=r_max,
-                                base=base, products=products)
+        buckets = build_charge_buckets(atoms_tree, q_sorted, R_sorted,
+                                       params.eps_epol, (r_min, r_max))
+        table, products = buckets.table, buckets.products
+        m_eps = buckets.nbuckets
         raw, cnt2, _ = approx_epol_for_leaves(
             atoms_tree, q_sorted, R_sorted, buckets, params)
         comm.compute(cost.epol_compute_seconds(
@@ -495,16 +476,16 @@ def run_data_distributed(molecule: Molecule,
             ghost_bytes += sum(p.nbytes + qq.nbytes + rr.nbytes
                                for p, qq, rr in payload.values())
             inter = 0
-            for vleaf_row, unode in need_atoms[s]:
-                gp, gq, gR = payload[unode]
-                vsl = atoms_tree.slice_of(int(atoms_tree.leaves[vleaf_row]))
-                diff = atoms_tree.points[vsl][:, None, :] - gp[None, :, :]
-                r2 = np.einsum("vuk,vuk->vu", diff, diff)
-                RiRj = R_sorted[vsl][:, None] * gR[None, :]
-                inv = inv_fgb_still(r2, RiRj,
-                                    approx_math=params.approx_math)
-                raw += float(np.einsum("v,vu,u->", q_sorted[vsl], inv, gq))
-                inter += diff.shape[0] * diff.shape[1]
+            if need_atoms[s]:
+                vrow, unode = np.array(need_atoms[s], dtype=np.int64).T
+                (gp, gq, gR), u_lo, u_hi = _ghost_ranges(payload, unode)
+                vleaf = atoms_tree.leaves[vrow]
+                v_lo, v_hi = atoms_tree.start[vleaf], atoms_tree.end[vleaf]
+                raw += epol_near_field(
+                    u_lo, u_hi, (component_major(gp), gq, gR),
+                    v_lo, v_hi, (local_t, q_sorted, R_sorted),
+                    approx_math=params.approx_math)
+                inter = int(((u_hi - u_lo) * (v_hi - v_lo)).sum())
             comm.compute(cost.epol_compute_seconds(0, 0, inter, m_eps,
                                                    params.approx_math))
 

@@ -36,6 +36,7 @@ from repro.cluster.trace import PhaseSlice, RankStats, RunStats
 from repro.config import ApproxParams
 from repro.constants import TAU_WATER
 from repro.core.born_octree import (
+    TraversalCounts,
     approx_integrals,
     push_integrals_to_atoms,
 )
@@ -318,14 +319,24 @@ def run_fig4_ft(molecule: Molecule,
         atom_owner = atom_owner0.copy()
         v_owner = v_owner0.copy()
         owners = (q_owner, atom_owner, v_owner)
+        # Recovery round in which each V-leaf last changed owner.  The
+        # energy near field mirrors leaf pairs within one call, so a
+        # call's sum depends on its leaf set: a rank evaluates its
+        # leaves one round at a time, a split fixed by the fault
+        # history and not by when this rank noticed a death.
+        v_round = np.zeros(n_vleaves, dtype=np.int64)
+        rounds = 0
 
         def on_fault(exc: FaultError) -> None:
             """Shrink to the survivors and take over the dead's blocks."""
+            nonlocal rounds
             if isinstance(exc, RankCrashedError) and exc.rank == comm.rank:
                 raise exc          # this rank *is* the casualty
             info = comm.shrink()
             if not info.newly_dead:
                 raise exc          # timeout/divergence, not a death
+            rounds += 1
+            v_round[np.isin(v_owner, info.newly_dead)] = rounds
             for owner in owners:
                 _reassign_lost(owner, info.newly_dead, info.alive)
 
@@ -403,16 +414,21 @@ def run_fig4_ft(molecule: Molecule,
         # -- Phase 3: partial energies + Reduce + result Bcast ---------
         buckets = build_charge_buckets(atoms_tree, q_sorted, radii_full,
                                        params.eps_epol)
-        raw_acc = 0.0
+        raw_parts: Dict[int, float] = {}
         v_folded = np.zeros(n_vleaves, dtype=bool)
         attempt = 0
         while True:
             try:
                 mine = np.flatnonzero((v_owner == comm.rank) & ~v_folded)
                 if mine.size:
-                    raw, cnt2, _ = approx_epol_for_leaves(
-                        atoms_tree, q_sorted, radii_full, buckets, params,
-                        v_leaf_subset=mine)
+                    parts = {}
+                    cnt2 = TraversalCounts()
+                    for r in np.unique(v_round[mine]):
+                        raw, cnt, _ = approx_epol_for_leaves(
+                            atoms_tree, q_sorted, radii_full, buckets,
+                            params, v_leaf_subset=mine[v_round[mine] == r])
+                        parts[int(r)] = raw
+                        cnt2 = cnt2.merged(cnt)
                     comm.compute(
                         cost.epol_compute_seconds(
                             cnt2.frontier_visits, cnt2.far_evaluations,
@@ -420,8 +436,9 @@ def run_fig4_ft(molecule: Molecule,
                             params.approx_math),
                         label="epol" if attempt == 0 else "epol.recovery",
                         recovery=attempt > 0)
-                    raw_acc += raw
+                    raw_parts.update(parts)
                     v_folded[mine] = True
+                raw_acc = sum((raw_parts[k] for k in sorted(raw_parts)), 0.0)
                 total_raw = comm.reduce(raw_acc, root=0)
                 energy = (energy_prefactor(tau) * total_raw
                           if total_raw is not None else None)

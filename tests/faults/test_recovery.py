@@ -158,3 +158,22 @@ class TestFaultTolerantSolve:
         assert np.array_equal(a.born_radii, b.born_radii)
         assert a.stats.faults == b.stats.faults
         assert a.stats.recoveries == b.stats.recoveries
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_energy_does_not_depend_on_when_a_death_is_seen(self, molecule,
+                                                           rank):
+        """A rank lost in the push phase is noticed before the energy
+        phase starts; one lost mid-energy is mostly noticed after the
+        survivors evaluated their own leaves.  Mirrored near-field pairs
+        make an energy call's sum depend on its leaf set, so survivors
+        evaluate in units fixed by the fault history: both schedules
+        give the same bits."""
+        early = run_fig4_ft(molecule, PARAMS, processes=4,
+                            fault_plan=FaultPlan([RankCrash(rank=rank,
+                                                            phase="push")]))
+        late = run_fig4_ft(molecule, PARAMS, processes=4,
+                           fault_plan=FaultPlan([RankCrash(rank=rank,
+                                                           phase="epol")]))
+        assert np.array_equal(early.born_radii, late.born_radii)
+        assert early.energy == late.energy           # bitwise
+

@@ -1,9 +1,16 @@
 """Preflight diagnostics and the runtime numerical sentinels."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from repro.config import ApproxParams
+from repro.guard import checks
 from repro.guard.checks import (
     check_born_radii,
     check_finite,
@@ -149,3 +156,37 @@ class TestSurfaceChecks:
         assert "GRD113" in _codes(findings)
         with pytest.raises(DegenerateGeometryError):
             preflight(mol)
+
+    def test_exact_recheck_finds_the_nearest_atom_in_chunks(self):
+        rng = np.random.default_rng(4)
+        pos = rng.normal(scale=5.0, size=(40, 3))
+        qpts = rng.normal(scale=5.0, size=(200, 3))
+        qpts[[3, 50, 51, 120]] = pos[[7, 7, 22, 39]] + 1e-9
+        with mock.patch.object(checks, "_RECHECK_CHUNK", 50):
+            got = checks._atoms_touching_surface(pos, qpts)
+        assert got.tolist() == [7, 22, 39]
+
+    def test_planted_coincidence_loads_no_scipy(self):
+        """A hit on the singular-integrand check stays numpy-only, so no
+        molecule pays scipy's ~30 MB import on the cold path."""
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from repro.guard.checks import _atoms_touching_surface\n"
+            "from repro.molecules import synthetic_protein\n"
+            "mol = synthetic_protein(300, seed=1)\n"
+            "q = mol.surface.points.copy()\n"
+            "q[17] = mol.positions[123]\n"
+            "print(_atoms_touching_surface(mol.positions, q).tolist())\n"
+            "print(sorted(m for m in sys.modules"
+            " if m == 'scipy' or m.startswith('scipy.')))\n")
+        root = Path(__file__).resolve().parents[2]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = (str(root / "src") + os.pathsep
+                             + env.get("PYTHONPATH", ""))
+        proc = subprocess.run([sys.executable, "-c", code], cwd=root,
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip().splitlines()[-2:] == ["[123]", "[]"], \
+            proc.stdout
